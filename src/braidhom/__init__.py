@@ -41,14 +41,12 @@ from .bimodules import (
 from .catalog import (
     FiniteLattice,
     IsoClassReport,
-    assoc_braiding,
     boolean_lattice,
     braided_set_isomorphic,
     chain_lattice,
     divisor_lattice,
     enumerate_idempotent_braidings,
     exact_factorization,
-    factorization_braiding,
     flip_braiding,
     identity_braiding,
     lattice_braiding,

@@ -172,17 +172,9 @@ def exact_factorization(G: FiniteMonoid, H, K) -> Factorization:
     return Factorization(G, H, K, elements, decompose, braiding)
 
 
-def factorization_braiding(G: FiniteMonoid, H, K) -> BraidedSet:
-    return exact_factorization(G, H, K).braiding
-
-
 def trivial_factorization(G: FiniteMonoid) -> Factorization:
     """G = {1} G, giving sigma(g,g') = (1, gg') on G itself."""
     return exact_factorization(G, [G.unit], range(G.size))
-
-
-def assoc_braiding(G: FiniteMonoid) -> BraidedSet:
-    return trivial_factorization(G).braiding
 
 
 # --- the two-element classification ---------------------------------------

@@ -32,9 +32,6 @@ from .monoid import FiniteMonoid
 from .products import Cochain, check_homotopy_identity, circle_product, cup_left_right, cup_product, quantum_symmetrizer
 from .zlinalg import homology, verify_complex
 
-DEFAULT_SEED = 20240901
-
-
 class InputError(ValueError):
     pass
 
@@ -199,7 +196,7 @@ def cmd_classify(args) -> int:
 
 def _homology_payload(cx, up_to):
     degrees = []
-    for k in range(min(up_to, cx.top) + 1):
+    for k in range(up_to + 1):
         inv = homology(cx, k)
         degrees.append({"degree": k, "betti": inv.betti, "torsion": list(inv.torsion), "group": str(inv)})
     return degrees
@@ -213,24 +210,26 @@ def _check_maxdeg(k: int) -> int:
 
 def cmd_homology(args) -> int:
     K = _check_maxdeg(args.maxdeg)
+    # H_K needs d_{K+1}: without it degree K would report the cycle group
+    top = K + 1
     if args.variant == "bar":
         if not args.monoid:
             raise InputError("--bar needs --monoid <file>")
         g = FiniteMonoid.from_json(_load_json(args.monoid))
         m = hochschild.trivial_monoid_bimodule(g, _trivial_rank(args.coeff))
-        cx = hochschild.normalized_bar_complex(g, m, K)
+        cx = hochschild.normalized_bar_complex(g, m, top)
         name = f"bar:{args.monoid}"
     else:
         bs, fact = load_braiding(args.braiding)
         m = load_coefficients(args.coeff, bs)
         if args.variant == "full":
-            cx = braided_chain_complex(bs, m, K)
+            cx = braided_chain_complex(bs, m, top)
         elif args.variant == "critical":
-            cx = critical_complex(bs, m, K, pseudo_unit=bs.pseudo_unit)
+            cx = critical_complex(bs, m, top, pseudo_unit=bs.pseudo_unit)
         else:  # double
             if fact is None:
                 raise InputError("--double needs a factorization:<file> or assoc:<file> braiding")
-            _, cx = hochschild.factorizable_double_complex(fact, m, K)
+            _, cx = hochschild.factorizable_double_complex(fact, m, top)
         name = cx.name
     rep = verify_complex(cx)
     if not rep.holds:
@@ -239,7 +238,7 @@ def cmd_homology(args) -> int:
         "complex": name,
         "variant": args.variant,
         "maxdeg": K,
-        "ranks": list(cx.ranks),
+        "ranks": cx.ranks[: K + 1],
         "homology": _homology_payload(cx, K),
     }
     _emit(payload, args)
@@ -316,7 +315,6 @@ def cmd_export(args) -> int:
 def _common(sub):
     sub.add_argument("--out", help="output file (atomic write); default stdout")
     sub.add_argument("--format", choices=["json", "text"], default="json")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized checks")
 
 
 def build_parser() -> argparse.ArgumentParser:

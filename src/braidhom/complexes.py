@@ -25,16 +25,8 @@ from .braided import (
     move_strand_right,
 )
 from .bimodules import Bimodule, verify_bimodule
-from .products import shuffle_coproduct
+from .products import _add, shuffle_coproduct
 from .zlinalg import ChainComplex, IntMatrix, smith_normal_form
-
-
-def _add(d, key, c):
-    new = d.get(key, 0) + c
-    if new:
-        d[key] = new
-    else:
-        d.pop(key, None)
 
 
 def _word_label(w: Word) -> str:
@@ -101,27 +93,63 @@ def _require_bimodule(bs, M):
         raise BraidedSetError(f"invalid bimodule: {rep.detail} at {rep.witness}")
 
 
+def _boundaries(words, coeff_keys, *terms_fns):
+    """The assembly shared by every complex here: the ranks of the bases
+    (word, *key), word in words[k] and key in coeff_keys, and per terms
+    function a dict of boundary matrices d_k : degree k -> k-1.  Terms off
+    the target basis are dropped, which realizes the critical quotients."""
+    bases = [[(w, *c) for w in ws for c in coeff_keys] for ws in words]
+    indexes = [{b: i for i, b in enumerate(basis)} for basis in bases]
+    families = [
+        {
+            k: _assemble(bases[k], terms_fn, indexes[k - 1], len(bases[k - 1]))
+            for k in range(1, len(words))
+        }
+        for terms_fn in terms_fns
+    ]
+    return [len(b) for b in bases], families
+
+
+def _dual(M: Bimodule) -> Bimodule:
+    """Hom(M, Z) in the dual basis: the left action is the transposed right
+    action of M and the right action the transposed left action."""
+    return Bimodule(
+        M.n_letters,
+        M.rank,
+        left=[m.transpose() for m in M.right],
+        right=[m.transpose() for m in M.left],
+        labels=M.labels,
+    )
+
+
+def _complex_on(bs: BraidedSet, M: Bimodule, words, name: str, cochain: bool) -> ChainComplex:
+    """Chains of M on the given word bases; the cochains are the transpose
+    of the chains of the dual bimodule, stored with ascending orientation
+    (diffs[k] maps degree k-1 to degree k)."""
+    A = _dual(M) if cochain else M
+    ranks, (diffs,) = _boundaries(
+        words, [(mi,) for mi in range(M.rank)], lambda key: chain_diff_terms(bs, A, *key)
+    )
+    if cochain:
+        diffs = {k: m.transpose() for k, m in diffs.items()}
+    return ChainComplex(
+        ranks,
+        diffs,
+        labels=[_basis_labels(ws, M) for ws in words],
+        ascending=cochain,
+        name=name,
+    )
+
+
+def _all_words(bs: BraidedSet, K: int):
+    return [list(product(range(bs.size), repeat=k)) for k in range(K + 1)]
+
+
 def braided_chain_complex(bs: BraidedSet, M: Bimodule, K: int) -> ChainComplex:
     """The degree <= K part of the braided chain complex of (X, sigma)
     with coefficients in the bimodule M."""
     _require_bimodule(bs, M)
-    words = [list(product(range(bs.size), repeat=k)) for k in range(K + 1)]
-    bases = [[(w, mi) for w in ws for mi in range(M.rank)] for ws in words]
-    indexes = [{b: i for i, b in enumerate(basis)} for basis in bases]
-    diffs = {}
-    for k in range(1, K + 1):
-        diffs[k] = _assemble(
-            bases[k],
-            lambda key: chain_diff_terms(bs, M, key[0], key[1]),
-            indexes[k - 1],
-            len(bases[k - 1]),
-        )
-    return ChainComplex(
-        [len(b) for b in bases],
-        diffs,
-        labels=[_basis_labels(ws, M) for ws in words],
-        name=f"braided chains of {bs.name}",
-    )
+    return _complex_on(bs, M, _all_words(bs, K), f"braided chains of {bs.name}", False)
 
 
 def braided_two_sided_complex(
@@ -135,75 +163,19 @@ def braided_two_sided_complex(
         rep = verify_bimodule(bs, mod, unit_law=False)
         if not rep.holds:
             raise BraidedSetError(f"invalid {side} module: {rep.detail} at {rep.witness}")
-    bases = []
-    for k in range(K + 1):
-        bases.append(
-            [
-                (w, mi, ni)
-                for w in product(range(bs.size), repeat=k)
-                for mi in range(M.rank)
-                for ni in range(N.rank)
-            ]
-        )
-    indexes = [{b: i for i, b in enumerate(basis)} for basis in bases]
-    diffs = {}
-    for k in range(1, K + 1):
-        diffs[k] = _assemble(
-            bases[k],
-            lambda key: two_sided_diff_terms(bs, M, N, *key),
-            indexes[k - 1],
-            len(bases[k - 1]),
-        )
-    return ChainComplex(
-        [len(b) for b in bases], diffs, name=f"two-sided braided chains of {bs.name}"
+    ranks, (diffs,) = _boundaries(
+        _all_words(bs, K),
+        list(product(range(M.rank), range(N.rank))),
+        lambda key: two_sided_diff_terms(bs, M, N, *key),
     )
+    return ChainComplex(ranks, diffs, name=f"two-sided braided chains of {bs.name}")
 
 
 def braided_cochain_complex(bs: BraidedSet, M: Bimodule, K: int) -> ChainComplex:
     """Maps X^k -> M with the braided cochain differential; stored with
     ascending orientation (diffs[k] maps degree k-1 to degree k)."""
     _require_bimodule(bs, M)
-    words = [list(product(range(bs.size), repeat=k)) for k in range(K + 1)]
-    return _cochain_complex_on(bs, M, words, name=f"braided cochains of {bs.name}")
-
-
-def _cochain_complex_on(bs: BraidedSet, M: Bimodule, words, name: str) -> ChainComplex:
-    bases = [[(w, mi) for w in ws for mi in range(M.rank)] for ws in words]
-    indexes = [{b: i for i, b in enumerate(basis)} for basis in bases]
-    diffs = {}
-    for k in range(1, len(words)):
-        entries = []
-        for w in words[k]:
-            for i in range(1, k + 1):
-                sign = 1 if i % 2 else -1
-                mover, prefix = move_strand_left(bs, w, i)
-                v = prefix + w[i:]
-                if v in indexes[k - 1] or M.rank == 1:
-                    for mj in range(M.rank):
-                        col = indexes[k - 1].get((v, mj))
-                        if col is None:
-                            continue
-                        for t, c in M.left_col(mover, mj):
-                            entries.append((indexes[k][(w, t)], col, sign * c))
-                mover_r, suffix = move_strand_right(bs, w, i)
-                v = w[: i - 1] + suffix
-                for mj in range(M.rank):
-                    col = indexes[k - 1].get((v, mj))
-                    if col is None:
-                        continue
-                    for t, c in M.right_col(mover_r, mj):
-                        entries.append((indexes[k][(w, t)], col, -sign * c))
-        mat = IntMatrix(len(bases[k]), len(bases[k - 1]))
-        for r, c, v in entries:
-            mat.data[r][c] += v
-        diffs[k] = mat
-    return ChainComplex(
-        [len(b) for b in bases],
-        diffs,
-        labels=[_basis_labels(ws, M) for ws in words],
-        ascending=True,
-        name=name,
-    )
+    return _complex_on(bs, M, _all_words(bs, K), f"braided cochains of {bs.name}", True)
 
 
 def split_differentials(bs: BraidedSet, M: Bimodule, K: int):
@@ -211,31 +183,30 @@ def split_differentials(bs: BraidedSet, M: Bimodule, K: int):
     the shuffle coproduct, plus a report comparing d_left + (-1)^k d_right
     with the alternating-sum assembly degree by degree."""
     _require_bimodule(bs, M)
-    full = braided_chain_complex(bs, M, K)
-    words = [list(product(range(bs.size), repeat=k)) for k in range(K + 1)]
-    bases = [[(w, mi) for w in ws for mi in range(M.rank)] for ws in words]
-    indexes = [{b: i for i, b in enumerate(basis)} for basis in bases]
-    left = {}
-    right = {}
-    for k in range(1, K + 1):
-        def left_terms(key):
-            w, mi = key
-            out: dict = {}
-            for (head, rest), coeff in shuffle_coproduct(bs, w, 1, k - 1).items():
-                for mj, c in M.right_col(head[0], mi):
-                    _add(out, (rest, mj), coeff * c)
-            return out
 
-        def right_terms(key):
-            w, mi = key
-            out: dict = {}
-            for (rest, tail), coeff in shuffle_coproduct(bs, w, k - 1, 1).items():
-                for mj, c in M.left_col(tail[0], mi):
-                    _add(out, (rest, mj), coeff * c)
-            return out
+    def left_terms(key):
+        w, mi = key
+        out: dict = {}
+        for (head, rest), coeff in shuffle_coproduct(bs, w, 1, len(w) - 1).items():
+            for mj, c in M.right_col(head[0], mi):
+                _add(out, (rest, mj), coeff * c)
+        return out
 
-        left[k] = _assemble(bases[k], left_terms, indexes[k - 1], len(bases[k - 1]))
-        right[k] = _assemble(bases[k], right_terms, indexes[k - 1], len(bases[k - 1]))
+    def right_terms(key):
+        w, mi = key
+        out: dict = {}
+        for (rest, tail), coeff in shuffle_coproduct(bs, w, len(w) - 1, 1).items():
+            for mj, c in M.left_col(tail[0], mi):
+                _add(out, (rest, mj), coeff * c)
+        return out
+
+    _, (full, left, right) = _boundaries(
+        _all_words(bs, K),
+        [(mi,) for mi in range(M.rank)],
+        lambda key: chain_diff_terms(bs, M, *key),
+        left_terms,
+        right_terms,
+    )
     witness = None
     for k in range(1, K + 1):
         sign = 1 if k % 2 == 0 else -1
@@ -243,7 +214,7 @@ def split_differentials(bs: BraidedSet, M: Bimodule, K: int):
             [l + sign * r for l, r in zip(lrow, rrow)]
             for lrow, rrow in zip(left[k].data, right[k].data)
         ]
-        if recombined != full.diffs[k].data:
+        if recombined != full[k].data:
             witness = k
             break
     report = CheckReport(
@@ -303,24 +274,8 @@ def critical_complex(
             raise BraidedSetError(rep.detail)
     _require_bimodule(bs, M)
     words = [critical_basis(bs, k, pseudo_unit) for k in range(K + 1)]
-    if cochain:
-        return _cochain_complex_on(bs, M, words, name=f"critical cochains of {bs.name}")
-    bases = [[(w, mi) for w in ws for mi in range(M.rank)] for ws in words]
-    indexes = [{b: i for i, b in enumerate(basis)} for basis in bases]
-    diffs = {}
-    for k in range(1, K + 1):
-        diffs[k] = _assemble(
-            bases[k],
-            lambda key: chain_diff_terms(bs, M, key[0], key[1]),
-            indexes[k - 1],
-            len(bases[k - 1]),
-        )
-    return ChainComplex(
-        [len(b) for b in bases],
-        diffs,
-        labels=[_basis_labels(ws, M) for ws in words],
-        name=f"critical chains of {bs.name}",
-    )
+    kind = "cochains" if cochain else "chains"
+    return _complex_on(bs, M, words, f"critical {kind} of {bs.name}", cochain)
 
 
 # --- general invariant subgroups R and their quotients ----------------------

@@ -28,7 +28,7 @@ from .bimodules import Bimodule, verify_bimodule
 from .catalog import Factorization
 from .complexes import chain_diff_terms, critical_basis, critical_complex
 from .monoid import FiniteMonoid
-from .products import Cochain, quantum_symmetrizer, reduced_quantum_symmetrizer
+from .products import Cochain, _add, quantum_symmetrizer, reduced_quantum_symmetrizer
 from .zlinalg import (
     AbelianGroupInvariants,
     ChainComplex,
@@ -37,14 +37,6 @@ from .zlinalg import (
     induced_map_on_homology,
     verify_chain_map,
 )
-
-
-def _add(d, key, c):
-    new = d.get(key, 0) + c
-    if new:
-        d[key] = new
-    else:
-        d.pop(key, None)
 
 
 # --- reduced structure monoid -----------------------------------------------
@@ -509,39 +501,30 @@ def totalize(dc: DoubleComplex, Kmax: int) -> ChainComplex:
     bs = fact.braiding
     r = dc.rank
     bases = [critical_basis(bs, k, bs.pseudo_unit) for k in range(Kmax + 1)]
-    indexes = [{w: i for i, w in enumerate(basis)} for basis in bases]
-    diffs = {}
-    for k in range(1, Kmax + 1):
-        mat = IntMatrix(len(bases[k - 1]) * r, len(bases[k]) * r)
-        for col, w in enumerate(bases[k]):
-            p, q = _kh_split(fact, w)
-            block_col = dc.blocks[(p, q)].index(w)
-            if p >= 1:
-                sub = dc.dv[(p, q)]
-                for row_w, i in indexes[k - 1].items():
-                    pp, qq = _kh_split(fact, row_w)
-                    if (pp, qq) != (p - 1, q):
-                        continue
-                    block_row = dc.blocks[(p - 1, q)].index(row_w)
-                    for mi in range(r):
-                        for mj in range(r):
-                            v = sub.data[block_row * r + mj][block_col * r + mi]
-                            if v:
-                                mat.data[i * r + mj][col * r + mi] += v
-            if q >= 1:
-                sub = dc.dh[(p, q)]
-                sign = -1 if p % 2 else 1
-                for row_w, i in indexes[k - 1].items():
-                    pp, qq = _kh_split(fact, row_w)
-                    if (pp, qq) != (p, q - 1):
-                        continue
-                    block_row = dc.blocks[(p, q - 1)].index(row_w)
-                    for mi in range(r):
-                        for mj in range(r):
-                            v = sub.data[block_row * r + mj][block_col * r + mi]
-                            if v:
-                                mat.data[i * r + mj][col * r + mi] += sign * v
-        diffs[k] = mat
+    # the critical words of a factorization braiding are exactly the block
+    # words K^p H^q, so every block entry has a place in the total basis
+    positions = [{w: i for i, w in enumerate(basis)} for basis in bases]
+    diffs = {k: IntMatrix(len(bases[k - 1]) * r, len(bases[k]) * r) for k in range(1, Kmax + 1)}
+
+    def coords(p, q):
+        pos = positions[p + q]
+        return [pos[w] * r + m for w in dc.blocks[(p, q)] for m in range(r)]
+
+    def place(sub, src, tgt, sign):
+        if sum(src) > Kmax:
+            return
+        data = diffs[sum(src)].data
+        cols = coords(*src)
+        for i, sub_row in zip(coords(*tgt), sub.data):
+            row = data[i]
+            for j, v in zip(cols, sub_row):
+                if v:
+                    row[j] += sign * v
+
+    for (p, q), sub in dc.dv.items():
+        place(sub, (p, q), (p - 1, q), 1)
+    for (p, q), sub in dc.dh.items():
+        place(sub, (p, q), (p, q - 1), -1 if p % 2 else 1)
     return ChainComplex(
         [len(b) * r for b in bases],
         diffs,

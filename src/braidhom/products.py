@@ -67,12 +67,6 @@ def shuffle_set(p: int, q: int) -> tuple[Shuffle, ...]:
     return tuple(out)
 
 
-def lift_permutation(perm: tuple[int, ...], from_right: bool = False) -> tuple[int, ...]:
-    """Canonical reduced braid word of a permutation; with from_right an
-    independent second reduced word for cross-checking."""
-    return reduced_word(perm, from_right=from_right)
-
-
 def lift_cross_check(bs: BraidedSet, perm: tuple[int, ...], w: Word) -> CheckReport:
     a = apply_braid_word(bs, w, reduced_word(perm))
     b = apply_braid_word(bs, w, reduced_word(perm, from_right=True))
@@ -315,12 +309,6 @@ def face_word(bs: BraidedSet, w: Word, i: int, kind: str) -> Word:
     return w[: i - 1] + suffix
 
 
-def face_mover(bs: BraidedSet, w: Word, i: int, kind: str) -> int:
-    if kind == "l":
-        return move_strand_left(bs, w, i)[0]
-    return move_strand_right(bs, w, i)[0]
-
-
 def cochain_diff_left(bs: BraidedSet, f: Cochain) -> Cochain:
     k = f.degree + 1
     out = Cochain(k, f.coeff)
@@ -487,7 +475,7 @@ def check_homotopy_identity(
     d_fg = cochain_diff(bs, circle_product(bs, f, g)) if p and q else Cochain(p + q, ring)
     df_g = circle_product(bs, cochain_diff(bs, f), g)
     f_dg = circle_product(bs, f, cochain_diff(bs, g))
-    gf = cup_product(bs, g, f)
+    gf = _flipped_cup(bs, g, f) if experimental_flip else cup_product(bs, g, f)
     fg = cup_product(bs, f, g)
     sign_df = -1 if (q - 1) % 2 else 1
     sign_rhs = -1 if q % 2 else 1
@@ -496,8 +484,6 @@ def check_homotopy_identity(
     for w in product(range(bs.size), repeat=p + q):
         left = ring.normalize(d_fg[w] - sign_df * df_g[w] - f_dg[w])
         right = ring.normalize(sign_rhs * (gf[w] - sign_pq * fg[w]))
-        if experimental_flip:
-            right = ring.normalize(sign_rhs * (_flipped_cup(bs, g, f)[w] - sign_pq * fg[w]))
         if left != right and witness is None:
             witness = (w, left, right)
     if witness:

@@ -554,6 +554,8 @@ def induced_map_on_homology(f: ChainMap, k: int) -> InducedMap:
     Uses that a surjection between isomorphic finitely generated abelian
     groups is automatically injective.
     """
+    if f.source.field_modulus is not None or f.target.field_modulus is not None:
+        raise ValueError("induced maps are computed over Z; complexes over Z/p are not supported")
     chk = verify_chain_map(f)
     if not chk.holds:
         raise ValueError(f"not a chain map: witness {chk.witness}")

@@ -80,6 +80,8 @@ def test_homology_full_variant(capsys):
     assert payload["ranks"] == [1, 2, 4, 8]
     # degree zero of the full complex has the same homology as the critical one
     assert payload["homology"][0]["group"] == "Z"
+    # the top degree is homology, not the cycle group ker d_3 = Z^6
+    assert payload["homology"][3]["group"] == "Z^2"
 
 
 def test_homology_bar(capsys, tmp_path):

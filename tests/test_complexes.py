@@ -285,27 +285,42 @@ def test_quotient_matches_critical_with_higher_rank():
     assert all(q.diffs[k] == crit.diffs[k] for k in range(1, 4))
 
 
-def test_functional_cochain_diff_matches_matrix_route(c2_fact):
+def test_functional_cochain_diff_matches_matrix_route(c2_fact, s3_fact):
+    # the matrix cochain complexes, braided and critical, against the
+    # functional differential, with coefficients of rank > 1 whose left and
+    # right actions differ
     import random
 
-    bs = c2_fact.braiding
-    alg = bh.monoid_bimodule(c2_fact.monoid, bs=bs, embedding=list(c2_fact.elements))
-    rng = random.Random(3)
-    f = bh.Cochain(1, alg)
-    for w in product(range(bs.size), repeat=1):
-        f[w] = tuple(rng.randrange(-2, 3) for _ in range(alg.rank))
-    df = bh.cochain_diff(bs, f)
-    assert not bh.cochain_diff(bs, df).values  # d.d = 0
-    cx = bh.braided_cochain_complex(bs, alg, 2)
-    r = alg.rank
-    words1 = list(product(range(bs.size), repeat=1))
-    vec = [f[w][mi] for w in words1 for mi in range(r)]
-    out = [
-        sum(cx.diffs[2].data[row][c] * vec[c] for c in range(len(vec)))
-        for row in range(cx.ranks[2])
-    ]
-    for i, w in enumerate(product(range(bs.size), repeat=2)):
-        assert tuple(out[i * r + mi] for mi in range(r)) == df[w]
+    cases = []
+    for fact in (c2_fact, s3_fact):
+        bs = fact.braiding
+        cases.append((bs, bh.monoid_bimodule(fact.monoid, bs=bs, embedding=list(fact.elements))))
+    for tag in ("constant", "maxmax"):
+        bs = bh.size2_family(tag)
+        right, left, rep = bh.adjoint_bimodule(bs)
+        assert rep.holds
+        cases.append((bs, bh.Bimodule(bs.size, bs.size, left=left.left, right=right.right)))
+    for bs, M in cases:
+        r = M.rank
+        full = bh.braided_cochain_complex(bs, M, 3)
+        crit = bh.critical_complex(bs, M, 3, pseudo_unit=bs.pseudo_unit, cochain=True)
+        for cx, basis in (
+            (full, lambda k: list(product(range(bs.size), repeat=k))),
+            (crit, lambda k: bh.critical_basis(bs, k, bs.pseudo_unit)),
+        ):
+            for k in (1, 2):
+                src, tgt = basis(k), basis(k + 1)
+                for seed in range(8):
+                    rng = random.Random(seed)
+                    f = bh.Cochain(k, M)
+                    for w in src:
+                        f[w] = tuple(rng.randrange(-2, 3) for _ in range(r))
+                    df = bh.cochain_diff(bs, f)
+                    assert not bh.cochain_diff(bs, df).values  # d.d = 0
+                    vec = [f[w][mi] for w in src for mi in range(r)]
+                    out = [sum(a * b for a, b in zip(row, vec)) for row in cx.diffs[k + 1].data]
+                    for i, w in enumerate(tgt):
+                        assert tuple(out[i * r : (i + 1) * r]) == df[w], (cx.name, k, seed, w)
 
 
 def test_quotient_by_zero_is_identity():

@@ -6,6 +6,7 @@ import pytest
 
 import braidhom as bh
 import braidhom.products as pr
+from braidhom.braided import reduced_word
 
 from conftest import c2_trivial_factorization, small_catalog
 
@@ -36,10 +37,10 @@ def test_shuffle_set_counts():
 
 
 def test_lift_permutation():
-    assert pr.lift_permutation((0, 1, 2)) == ()
-    assert pr.lift_permutation((1, 0)) == (1,)
+    assert reduced_word((0, 1, 2)) == ()
+    assert reduced_word((1, 0)) == (1,)
     longest = (2, 1, 0)
-    word = pr.lift_permutation(longest)
+    word = reduced_word(longest)
     assert len(word) == 3 == sum(1 for i in range(3) for j in range(i + 1, 3) if longest[i] > longest[j])
     assert word == (1, 2, 1)
 

@@ -229,3 +229,13 @@ def test_complex_json_exports():
     data = cx.to_json()
     assert data["ranks"] == [1, 2, 1, 0]
     assert set(data["boundaries"]) == {"1", "2", "3"}
+
+
+def test_induced_map_rejects_field_complexes():
+    # the induced map is computed over Z, which is not the map over Z/p
+    plain = bh.ChainComplex([2, 2])
+    mod2 = bh.ChainComplex([2, 2], field_modulus=2)
+    comps = {0: bh.IntMatrix.identity(2), 1: bh.IntMatrix.from_rows([[2, 0], [0, 1]])}
+    for src, tgt in ((mod2, mod2), (mod2, plain), (plain, mod2)):
+        with pytest.raises(ValueError, match="Z/p"):
+            bh.induced_map_on_homology(bh.ChainMap(src, tgt, comps), 1)
