@@ -106,6 +106,7 @@ from .zlinalg import (
     homology,
     homology_all,
     induced_map_on_homology,
+    invariant_factors,
     rational_rank,
     smith_normal_form,
     verify_chain_map,

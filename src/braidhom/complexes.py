@@ -286,9 +286,6 @@ class RSubgroup:
 
     generators: list[dict]
 
-    def support_pairs(self) -> set:
-        return {p for g in self.generators for p in g}
-
 
 def fixed_pairs_subgroup(bs: BraidedSet) -> RSubgroup:
     gens = [

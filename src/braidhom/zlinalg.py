@@ -5,6 +5,12 @@ maps on homology.
 Everything runs on Python's arbitrary-precision integers; intermediate
 Smith-form entries are allowed to grow.  Pivoting picks the smallest
 nonzero absolute value, which keeps growth tame at desk scale.
+
+Homology comes from invariant factors alone: H_k is free of rank
+rank C_k - rk d_k - rk d_{k+1} plus the non-unit invariant factors of
+d_{k+1}, so it needs no kernel basis and no transforms.  The unimodular
+transforms of `smith_normal_form` are computed only where a caller reads
+them: induced maps on homology, lattice membership and R-quotients.
 """
 
 from __future__ import annotations
@@ -184,8 +190,12 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Diagonalize by unimodular row/column transforms.
+def _diagonalize(m: IntMatrix, transforms: bool):
+    """Diagonalize by unimodular row/column transforms; the one Smith
+    elimination loop.
+
+    Returns the diagonalized rows and, with `transforms`, the rows of U, V,
+    Uinv and Vinv (else None: no transform is allocated or updated).
 
     Each off-pivot entry is cleared in a single extended-gcd 2x2 step
     (never by repeated Euclidean subtraction, whose full-row updates make
@@ -193,29 +203,33 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     """
     R, C = m.rows, m.cols
     A = [row[:] for row in m.data]
-    U = [[int(i == j) for j in range(R)] for i in range(R)]
-    Ui = [[int(i == j) for j in range(R)] for i in range(R)]
-    V = [[int(i == j) for j in range(C)] for i in range(C)]
-    Vi = [[int(i == j) for j in range(C)] for i in range(C)]
+    if transforms:
+        U = [[int(i == j) for j in range(R)] for i in range(R)]
+        Ui = [[int(i == j) for j in range(R)] for i in range(R)]
+        V = [[int(i == j) for j in range(C)] for i in range(C)]
+        Vi = [[int(i == j) for j in range(C)] for i in range(C)]
 
     def row_add(i, j, q):  # row_i += q * row_j
         A[i] = [a + q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        for r in Ui:  # Uinv: col_j -= q * col_i
-            if r[i]:
-                r[j] -= q * r[i]
+        if transforms:
+            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+            for r in Ui:  # Uinv: col_j -= q * col_i
+                if r[i]:
+                    r[j] -= q * r[i]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for r in Ui:
-            r[i], r[j] = r[j], r[i]
+        if transforms:
+            U[i], U[j] = U[j], U[i]
+            for r in Ui:
+                r[i], r[j] = r[j], r[i]
 
     def row_neg(i):
         A[i] = [-v for v in A[i]]
-        U[i] = [-v for v in U[i]]
-        for r in Ui:
-            r[i] = -r[i]
+        if transforms:
+            U[i] = [-v for v in U[i]]
+            for r in Ui:
+                r[i] = -r[i]
 
     def row_pair(i, j, x, y, u, v):
         # rows (i, j) <- (x*row_i + y*row_j, u*row_i + v*row_j); xv - yu = 1
@@ -223,42 +237,46 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             [x * a + y * b for a, b in zip(A[i], A[j])],
             [u * a + v * b for a, b in zip(A[i], A[j])],
         )
-        U[i], U[j] = (
-            [x * a + y * b for a, b in zip(U[i], U[j])],
-            [u * a + v * b for a, b in zip(U[i], U[j])],
-        )
-        for r in Ui:  # inverse transform on columns: [[v, -y], [-u, x]]
-            a, b = r[i], r[j]
-            r[i], r[j] = v * a - u * b, -y * a + x * b
+        if transforms:
+            U[i], U[j] = (
+                [x * a + y * b for a, b in zip(U[i], U[j])],
+                [u * a + v * b for a, b in zip(U[i], U[j])],
+            )
+            for r in Ui:  # inverse transform on columns: [[v, -y], [-u, x]]
+                a, b = r[i], r[j]
+                r[i], r[j] = v * a - u * b, -y * a + x * b
 
     def col_add(i, j, q):  # col_i += q * col_j
         for r in A:
             if r[j]:
                 r[i] += q * r[j]
-        for r in V:
-            if r[j]:
-                r[i] += q * r[j]
-        Vi[j] = [a - q * b for a, b in zip(Vi[j], Vi[i])]
+        if transforms:
+            for r in V:
+                if r[j]:
+                    r[i] += q * r[j]
+            Vi[j] = [a - q * b for a, b in zip(Vi[j], Vi[i])]
 
     def col_swap(i, j):
         for r in A:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
+        if transforms:
+            for r in V:
+                r[i], r[j] = r[j], r[i]
+            Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def col_pair(i, j, x, y, u, v):
         # cols (i, j) <- (x*col_i + y*col_j, u*col_i + v*col_j); xv - yu = 1
         for r in A:
             a, b = r[i], r[j]
             r[i], r[j] = x * a + y * b, u * a + v * b
-        for r in V:
-            a, b = r[i], r[j]
-            r[i], r[j] = x * a + y * b, u * a + v * b
-        Vi[i], Vi[j] = (
-            [v * a - u * b for a, b in zip(Vi[i], Vi[j])],
-            [-y * a + x * b for a, b in zip(Vi[i], Vi[j])],
-        )
+        if transforms:
+            for r in V:
+                a, b = r[i], r[j]
+                r[i], r[j] = x * a + y * b, u * a + v * b
+            Vi[i], Vi[j] = (
+                [v * a - u * b for a, b in zip(Vi[i], Vi[j])],
+                [-y * a + x * b for a, b in zip(Vi[i], Vi[j])],
+            )
 
     t = 0
     limit = min(R, C)
@@ -307,9 +325,12 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                     col_dirty = True  # mixing columns can repopulate column t
             if col_dirty or any(A[i][t] for i in range(t + 1, R)):
                 continue
-            # enforce divisibility of the remaining block by the pivot
-            stray = None
+            # enforce divisibility of the remaining block by the pivot;
+            # a unit divides everything, so a +-1 pivot needs no scan
             p = A[t][t]
+            if abs(p) == 1:
+                break
+            stray = None
             for i in range(t + 1, R):
                 row = A[i]
                 for j in range(t + 1, C):
@@ -324,6 +345,14 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         if A[t][t] < 0:
             row_neg(t)
         t += 1
+    return A, ((U, V, Ui, Vi) if transforms else None)
+
+
+def smith_normal_form(m: IntMatrix) -> SmithForm:
+    """U * M * V = S with all four transforms (see `invariant_factors`
+    when only the diagonal is needed)."""
+    A, (U, V, Ui, Vi) = _diagonalize(m, True)
+    R, C = m.rows, m.cols
     return SmithForm(
         IntMatrix(R, C, A),
         IntMatrix(R, R, U),
@@ -331,6 +360,13 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         IntMatrix(R, R, Ui),
         IntMatrix(C, C, Vi),
     )
+
+
+def invariant_factors(m: IntMatrix) -> list[int]:
+    """The positive invariant factors d_1 | d_2 | ... of m, computed
+    without transforms; equal to smith_normal_form(m).factors."""
+    A, _ = _diagonalize(m, False)
+    return [A[i][i] for i in range(min(m.rows, m.cols)) if A[i][i]]
 
 
 # --- chain complexes -------------------------------------------------------
@@ -457,21 +493,32 @@ def _kernel_data(c: ChainComplex, k: int):
 
 
 def homology(c: ChainComplex, k: int) -> AbelianGroupInvariants:
-    """H_k = ker(out) / im(in) computed from Smith forms."""
+    """H_k = ker(out) / im(in) from the invariant factors of the two
+    boundaries alone: betti = rank C_k - rk out - rk in, and the torsion is
+    the non-unit invariant factors of in (ker(out) is a direct summand of
+    C_k, so im(in) has the same cokernel torsion in both).
+
+    Raises ValueError when the ranks cannot come from a complex.  That is
+    only a necessary condition for d.d = 0; `verify_complex` is the full
+    check.
+    """
     if not 0 <= k <= c.top:
         raise DegreeError(f"degree {k} outside [0, {c.top}]")
-    if c.field_modulus is not None:
-        p = c.field_modulus
-        if c.ascending:
-            out, inc = c.boundary(k + 1), c.boundary(k)
-        else:
-            out, inc = c.boundary(k), c.boundary(k + 1)
-        dim_ker = out.cols - rank_mod(out, p)
-        return AbelianGroupInvariants(dim_ker - rank_mod(inc, p), field=p)
-    _, z, relations, _ = _kernel_data(c, k)
-    snf_rel = smith_normal_form(relations)
-    torsion = tuple(d for d in snf_rel.factors if abs(d) >= 2)
-    return AbelianGroupInvariants(z - snf_rel.rank, torsion)
+    if c.ascending:
+        out, inc = c.boundary(k + 1), c.boundary(k)
+    else:
+        out, inc = c.boundary(k), c.boundary(k + 1)
+    p = c.field_modulus
+    if p is None:
+        inc_factors = invariant_factors(inc)
+        betti = out.cols - len(invariant_factors(out)) - len(inc_factors)
+        torsion = tuple(d for d in inc_factors if d >= 2)
+    else:
+        betti = out.cols - rank_mod(out, p) - rank_mod(inc, p)
+        torsion = ()
+    if betti < 0:
+        raise ValueError("boundary ranks exceed the module rank (d.d != 0?)")
+    return AbelianGroupInvariants(betti, torsion, field=p)
 
 
 def homology_all(c: ChainComplex, up_to: int | None = None) -> list[AbelianGroupInvariants]:
@@ -575,8 +622,8 @@ def induced_map_on_homology(f: ChainMap, k: int) -> InducedMap:
     tgt_group = AbelianGroupInvariants(
         z_t - snf_rel_t.rank, tuple(d for d in snf_rel_t.factors if d >= 2)
     )
-    surj_factors = smith_normal_form(fbar.hstack(rel_t))
-    surjective = surj_factors.rank == z_t and all(d == 1 for d in surj_factors.factors)
+    surj_factors = invariant_factors(fbar.hstack(rel_t))
+    surjective = len(surj_factors) == z_t and all(d == 1 for d in surj_factors)
     iso = surjective and src_group == tgt_group
     smith_matrix = snf_rel_t.U * (fbar * snf_rel_s.Uinv)
     return InducedMap(k, src_group, tgt_group, smith_matrix, iso)

@@ -1,3 +1,4 @@
+import ast
 import random
 from itertools import product
 
@@ -124,6 +125,21 @@ def test_critical_complex_reaches_textbook_group_homology(s3_fact):
     assert [str(bh.homology(crit3, k)) for k in range(6)] == [
         "Z", "Z/2", "0", "Z/6", "0", "Z/2",
     ]
+
+
+def test_critical_homology_of_s4():
+    # S4 = S3.C4 (S3 fixing the last point, C4 generated by a 4-cycle);
+    # textbook H_3(S4) = Z/2 + Z/12
+    g = bh.symmetric_group(4)
+    perm = {i: ast.literal_eval(name) for i, name in enumerate(g.names)}
+    h = [i for i, p in perm.items() if p[3] == 3]
+    c = next(i for i, p in perm.items() if p == (1, 2, 3, 0))
+    k = [g.unit, c, g.mul(c, c), g.mul(g.mul(c, c), c)]
+    bs = bh.exact_factorization(g, h, k).braiding
+    crit = bh.critical_complex(bs, bh.trivial_bimodule(bs), 4, pseudo_unit=bs.pseudo_unit)
+    # sum over p + q = k of (|K| - 1)^p (|H| - 1)^q
+    assert crit.ranks == [1, 8, 49, 272, 1441]
+    assert [str(bh.homology(crit, k)) for k in range(4)] == ["Z", "Z/2", "Z/2", "Z/2 + Z/12"]
 
 
 def test_compare_homology_c3():

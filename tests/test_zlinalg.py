@@ -7,6 +7,8 @@ import pytest
 import braidhom as bh
 from braidhom.zlinalg import DegreeError, rank_mod
 
+from conftest import s3_factorization, small_catalog
+
 
 def det(m: bh.IntMatrix) -> Fraction:
     n = m.rows
@@ -140,6 +142,31 @@ def test_homology_hand_built_bar_of_c2():
     assert bh.verify_complex(cx).holds
     groups = [str(bh.homology(cx, k)) for k in range(4)]
     assert groups == ["Z", "Z/2", "0", "Z/2"]
+
+
+def test_homology_rejects_ranks_no_complex_has():
+    # d1 = d2 = (1) is no complex (d.d = 1): rank C_1 - rk d1 - rk d2 = -1
+    cx = bh.ChainComplex(
+        [1, 1, 1],
+        {1: bh.IntMatrix.from_rows([[1]]), 2: bh.IntMatrix.from_rows([[1]])},
+    )
+    with pytest.raises(ValueError, match="d.d != 0"):
+        bh.homology(cx, 1)
+
+
+def test_homology_matches_kernel_and_relations_route():
+    # the induced map of the identity computes the source group from a
+    # kernel basis and the Smith form of the relations, with transforms
+    cases = [
+        (name, bh.critical_complex(bs, bh.trivial_bimodule(bs), 4, pseudo_unit=bs.pseudo_unit))
+        for name, bs in small_catalog()
+    ]
+    s3 = s3_factorization().braiding
+    cases.append(("fact:S3", bh.critical_complex(s3, bh.trivial_bimodule(s3), 6, pseudo_unit=s3.pseudo_unit)))
+    for name, cx in cases:
+        ident = bh.ChainMap(cx, cx, {k: bh.IntMatrix.identity(r) for k, r in enumerate(cx.ranks)})
+        for k in range(cx.top):
+            assert bh.homology(cx, k) == bh.induced_map_on_homology(ident, k).source_group, (name, k)
 
 
 def test_verify_complex_failure():
